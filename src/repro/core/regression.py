@@ -1,10 +1,13 @@
 """Ordinary least squares with the paper's goodness-of-fit statistics.
 
 Thin, dependency-light linear algebra: the model matrix is small (at most
-a few hundred observations by tens of features), so a single
-``numpy.linalg.lstsq`` call is both exact and fast.  The adjusted
-coefficient of determination (R-bar-squared) is the paper's model-
-selection criterion.
+a few hundred observations by tens of features), so one
+``numpy.linalg.lstsq`` call fits a model exactly.  :func:`fit_ols` is the
+only least-squares solver: the variable searches
+(:mod:`repro.core.selection`, :mod:`repro.core.ridge`) screen their
+candidates with an orthogonalized score and take every winner, score and
+final model from a :func:`fit_ols` refit.  The adjusted coefficient of
+determination (R-bar-squared) is the paper's model-selection criterion.
 """
 
 from __future__ import annotations

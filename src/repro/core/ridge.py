@@ -26,6 +26,13 @@ from repro.core.regression import (
     fit_ols,
     r_squared,
 )
+from repro.core.selection import (
+    COLLAPSE_RTOL,
+    centered_design,
+    deflate,
+    refit_best,
+    screened_scores,
+)
 
 
 @dataclass(frozen=True)
@@ -124,6 +131,36 @@ class BackwardEliminationResult:
         )
 
 
+def _drop_one_screen(
+    Z: np.ndarray, selected: list[int], y: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Screened scores and collapse flags of dropping each selected column.
+
+    ``Z`` is :func:`~repro.core.selection.centered_design`.  The selected
+    columns are orthogonalized in order by the forward screen's CGS2
+    step, giving ``X̂ = QR``; dropping column ``j`` costs
+    ``(zᵀy)² / zᵀz`` of the residual sum of squares, where ``z`` is its
+    part orthogonal to the others, with ``zᵀz = 1 / ‖row j of R⁻¹‖²``
+    and ``zᵀy / zᵀz = (R⁻¹ Qᵀy)_j``.  A column that collapses while the
+    basis is built makes ``R`` singular, so every candidate counts as
+    collapsed and is refit.
+    """
+    m = len(selected)
+    W = Z[:, selected + [-1]]
+    R = np.zeros((m, m + 1))
+    for k in range(m):
+        norm = float(np.linalg.norm(W[:, k]))
+        if norm**2 <= COLLAPSE_RTOL:
+            return np.zeros(m), np.ones(m, dtype=bool)
+        R[k, k] = norm
+        R[k, k + 1 :] = deflate(W[:, k + 1 :], W[:, k] / norm)
+    R_inv = np.linalg.inv(R[:, :m])
+    zz = 1.0 / np.einsum("ij,ij->i", R_inv, R_inv)
+    beta = R_inv @ R[:, m]
+    sse = W[:, m] @ W[:, m] + beta**2 * zz
+    return screened_scores(sse, y, m - 1), zz <= COLLAPSE_RTOL
+
+
 def backward_eliminate(
     X: np.ndarray,
     y: np.ndarray,
@@ -134,7 +171,10 @@ def backward_eliminate(
 
     Starts from all non-degenerate columns; at each step removes the
     variable whose removal yields the best adjusted R², stopping when no
-    removal improves it (or ``min_features`` is reached).
+    removal improves it (or ``min_features`` is reached).  Each step
+    screens every removal at once and refits only the near-best and
+    collapsed ones, by the rule and constants of
+    :func:`~repro.core.selection.forward_select`.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -147,15 +187,17 @@ def backward_eliminate(
         raise ValueError("all features are degenerate")
     current = fit_ols(X[:, selected], y)
     history = [current.adjusted_r2]
+    Z = centered_design(X, y)
     while len(selected) > min_features:
-        step_best: tuple[float, int, RegressionResult] | None = None
-        for j in selected:
-            remaining = [k for k in selected if k != j]
-            model = fit_ols(X[:, remaining], y)
-            if step_best is None or model.adjusted_r2 > step_best[0]:
-                step_best = (model.adjusted_r2, j, model)
-        assert step_best is not None
-        score, j, model = step_best
+        if X.shape[0] - len(selected) <= 0:
+            break  # no residual degrees of freedom: every score is -inf
+        screened, collapsed = _drop_one_screen(Z, selected, y)
+        score, j, model = refit_best(
+            selected,
+            screened,
+            collapsed,
+            lambda j: fit_ols(X[:, [k for k in selected if k != j]], y),
+        )
         if score <= current.adjusted_r2:
             break
         selected.remove(j)

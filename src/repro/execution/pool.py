@@ -10,9 +10,10 @@ pickled (unit, args) round trip per unit, and a parent-side serialized
   every retry of a campaign), keyed by a digest of the pickled units;
 * **initializer preload** — workers unpickle the read-only unit list
   (and with it the arch/kernel tables) exactly once, in the pool
-  initializer, and vector-seed the batchable units' noise streams;
-  tasks then reference units by position, so per-task pickling is a
-  few integers;
+  initializer; tasks then reference units by position, so per-task
+  pickling is a few integers.  The batchable units' noise streams are
+  vector-seeded once per worker, by the first chunk that takes the
+  fast path (a traced run routes no unit there and seeds nothing);
 * **chunked dispatch** — pending units ship in chunks of roughly
   ``n / (jobs * 4)`` (clamped to [1, 64]), amortizing the submit/result
   round trip while keeping enough chunks in flight for load balance;
@@ -80,6 +81,9 @@ _WORKER_UNITS: "tuple[Any, ...] | None" = None
 #: (always 1 — the regression guard the state-load gauge watches).
 _WORKER_STATE_LOADS = 0
 
+#: Whether this worker has vector-seeded its batchable units' streams.
+_WORKER_SEEDED = False
+
 _WORKER_CACHES: dict[str, Any] = {}
 
 
@@ -87,16 +91,27 @@ def _worker_init(blob: bytes) -> None:
     """Pool initializer: preload read-only state exactly once.
 
     Unpickling the blob materializes every unit — and through them the
-    arch specs and kernel tables — in this worker; the batchable units'
-    noise streams are then vector-seeded so the first task finds a warm
-    evaluator instead of paying per-unit seeding.
+    arch specs and kernel tables — in this worker.
     """
     global _WORKER_UNITS, _WORKER_STATE_LOADS
-    from repro.execution.batch import is_batchable, prepare_units
 
     _WORKER_UNITS = pickle.loads(blob)
     _WORKER_STATE_LOADS += 1
-    prepare_units([u for u in _WORKER_UNITS if is_batchable(u)])
+
+
+def _seed_worker() -> None:
+    """Vector-seed the batchable units' noise streams, once per worker.
+
+    Called by the first chunk with a fast unit, so that chunk finds a
+    warm evaluator instead of paying per-unit seeding; a run whose units
+    all take the scalar path (telemetry on) never pays for it.
+    """
+    global _WORKER_SEEDED
+    from repro.execution.batch import is_batchable, prepare_units
+
+    if not _WORKER_SEEDED:
+        prepare_units([u for u in _WORKER_UNITS if is_batchable(u)])
+        _WORKER_SEEDED = True
 
 
 def _worker_cache(cache_dir: str):
@@ -131,6 +146,8 @@ def _run_chunk(
     from repro.execution.engine import _execute_with_retry, _UnitOutcome
 
     assert _WORKER_UNITS is not None, "pool initializer did not run"
+    if any(fast_flags):
+        _seed_worker()
     cache = _worker_cache(cache_dir) if cache_dir is not None else None
     results = []
     for pos, fast, key in zip(positions, fast_flags, keys):

@@ -186,6 +186,45 @@ class TestAccounting:
         assert again.stats.measured == 0
 
 
+class TestWorkerSeeding:
+    """Workers vector-seed lazily: only chunks with fast units pay."""
+
+    @pytest.fixture
+    def seeding_pids(self, monkeypatch, tmp_path):
+        """Pids of the processes that called ``prepare_units``.
+
+        Workers fork after the patch, so they inherit it and append to
+        a shared log the parent reads back.
+        """
+        import repro.execution.batch as batch
+
+        log = tmp_path / "prepare_units.log"
+        original = batch.prepare_units
+
+        def recording(units):
+            with open(log, "a", encoding="utf-8") as handle:
+                handle.write(f"{os.getpid()}\n")
+            return original(units)
+
+        monkeypatch.setattr(batch, "prepare_units", recording)
+        return lambda: log.read_text().split() if log.exists() else []
+
+    def test_traced_pooled_run_seeds_no_worker(self, seeding_pids):
+        units = _units(4)
+        result = run_units(units, ExecutionConfig(jobs=2, telemetry=Telemetry()))
+        assert result.stats.measured == len(units)
+        assert seeding_pids() == []
+
+    def test_untraced_pooled_run_seeds_once_per_worker(self, seeding_pids):
+        units = _units(4)
+        run_units(units, ExecutionConfig(jobs=2))
+        run_units(units, ExecutionConfig(jobs=2))  # same pool, already seeded
+        pids = seeding_pids()
+        assert 1 <= len(pids) <= 2
+        assert len(set(pids)) == len(pids)
+        assert str(os.getpid()) not in pids
+
+
 # ----------------------------------------------------------------------
 # crash recovery
 # ----------------------------------------------------------------------
