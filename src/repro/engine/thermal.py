@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.arch.specs import GPUSpec
 
 #: Ambient temperature the power coefficients are calibrated at (deg C).
@@ -102,3 +104,34 @@ def solve_thermal(
         throttling=t > T_THROTTLE,
         iterations=iterations,
     )
+
+
+def solve_thermal_columns(
+    spec: GPUSpec,
+    dynamic_w: np.ndarray,
+    static_w: np.ndarray,
+    ambient_c: float = T_AMBIENT_CAL,
+    max_iterations: int = 50,
+    tolerance: float = 1e-6,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`solve_thermal` over columns: ``(die_c, power_w, iterations)``.
+
+    Converged lanes freeze, so each stops where the scalar loop stops.
+    """
+    if (dynamic_w < 0).any() or (static_w < 0).any():
+        raise ValueError("power components must be non-negative")
+    r_th = thermal_resistance(spec)
+    t = ambient_c + r_th * (dynamic_w + static_w)
+    iterations = np.zeros(t.shape, dtype=int)
+    active = np.ones(t.shape, dtype=bool)
+    for iteration in range(1, max_iterations + 1):
+        factor = np.maximum(0.1, 1.0 + LEAKAGE_PER_K * (t - T_REF))
+        t_new = ambient_c + r_th * (dynamic_w + static_w * factor)
+        converged = np.abs(t_new - t) < tolerance
+        t = np.where(active, t_new, t)
+        iterations[active] = iteration
+        active &= ~converged
+        if not active.any():
+            break
+    factor = np.maximum(0.1, 1.0 + LEAKAGE_PER_K * (t - T_REF))
+    return t, dynamic_w + static_w * factor, iterations

@@ -45,18 +45,19 @@ def is_batchable(unit: WorkUnit) -> bool:
     """Whether the unit can take the fast batch path."""
     if isinstance(unit, FleetShardUnit):
         # A fleet shard's execute() is already a pure columnar
-        # computation (per-device BatchSimulator grids, no telemetry or
-        # instrument state), so the fast path runs it directly.
+        # computation (one BatchSimulator.tables pass per device, no
+        # telemetry or instrument state), so the fast path runs it.
         return unit.faults is None
     return isinstance(unit, (SweepUnit, DatasetUnit)) and unit.faults is None
 
 
 def prepare_units(units: "list[WorkUnit]") -> None:
-    """Vector-seed every stream a list of batchable units will draw.
+    """Evaluate a list of batchable units' grids and seed their streams.
 
-    Best-effort: units whose streams cannot be enumerated (e.g. an
-    invalid frequency pair) are skipped here and surface their error
-    when evaluated.
+    Each card's cells go through one columnar physics pass, and every
+    meter, host and profiler stream is vector-seeded.  Best-effort:
+    units whose cells cannot be enumerated (e.g. an invalid frequency
+    pair) are skipped here and surface their error when evaluated.
     """
     measure_cells: dict[int, tuple[BatchMeasurer, list]] = {}
     profile_cells: dict[tuple[int, int | None], tuple[BatchMeasurer, list]] = {}

@@ -11,9 +11,9 @@ pickled (unit, args) round trip per unit, and a parent-side serialized
 * **initializer preload** — workers unpickle the read-only unit list
   (and with it the arch/kernel tables) exactly once, in the pool
   initializer; tasks then reference units by position, so per-task
-  pickling is a few integers.  The batchable units' noise streams are
-  vector-seeded once per worker, by the first chunk that takes the
-  fast path (a traced run routes no unit there and seeds nothing);
+  pickling is a few integers.  The batchable units' grids are prepared
+  once per worker, by the first chunk that takes the fast path (a
+  traced run routes no unit there and prepares nothing);
 * **chunked dispatch** — pending units ship in chunks of roughly
   ``n / (jobs * 4)`` (clamped to [1, 64]), amortizing the submit/result
   round trip while keeping enough chunks in flight for load balance;
@@ -34,6 +34,7 @@ import atexit
 import hashlib
 import os
 import pickle
+import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
@@ -91,20 +92,31 @@ def _worker_init(blob: bytes) -> None:
     """Pool initializer: preload read-only state exactly once.
 
     Unpickling the blob materializes every unit — and through them the
-    arch specs and kernel tables — in this worker.
+    arch specs and kernel tables — in this worker.  A daemon thread then
+    watches the parent, so the worker dies with it.
     """
     global _WORKER_UNITS, _WORKER_STATE_LOADS
 
     _WORKER_UNITS = pickle.loads(blob)
     _WORKER_STATE_LOADS += 1
+    threading.Thread(
+        target=_exit_with_parent, args=(os.getppid(),), daemon=True
+    ).start()
+
+
+def _exit_with_parent(parent: int) -> None:
+    """Exit once the parent is gone (a SIGKILLed parent cleans nothing up)."""
+    while os.getppid() == parent:
+        time.sleep(0.5)
+    os._exit(1)
 
 
 def _seed_worker() -> None:
-    """Vector-seed the batchable units' noise streams, once per worker.
+    """Prepare (evaluate and seed) the batchable units, once per worker.
 
     Called by the first chunk with a fast unit, so that chunk finds a
-    warm evaluator instead of paying per-unit seeding; a run whose units
-    all take the scalar path (telemetry on) never pays for it.
+    warm evaluator instead of paying per-unit evaluation; a run whose
+    units all take the scalar path (telemetry on) never pays for it.
     """
     global _WORKER_SEEDED
     from repro.execution.batch import is_batchable, prepare_units

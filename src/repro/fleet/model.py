@@ -9,7 +9,8 @@ study.  Fleets instead get *derived* model handles:
 * each device's prediction is the template's prediction scaled by the
   ratio of *nominal* quantities — the deterministic physics of the
   device's spec sheet (clocks, voltages, power coefficients) with every
-  noise stream removed.
+  noise stream removed.  The nominal cells come out of the same
+  columnar pass as the true ones (:meth:`BatchSimulator.tables`).
 
 A device's nominal tables are legitimately knowable without measuring
 it; the device-specific noise fixed-effects are not, remain invisible
@@ -21,46 +22,9 @@ from __future__ import annotations
 
 from typing import Any, Sequence
 
-from repro.arch.dvfs import OperatingPoint
 from repro.arch.specs import GPUSpec
-from repro.engine.cache import simulate_cache
-from repro.engine.power import idle_gpu_power, simulate_power
-from repro.engine.thermal import solve_thermal
-from repro.engine.timing import simulate_timing
-from repro.kernels.profile import KernelSpec
+from repro.engine.batch import BatchSimulator
 from repro.kernels.suites import get_benchmark
-
-#: Expected value of the scalar path's driver-overhead draw
-#: (``U(0.25, 2.75)`` times the trait constant) — the nominal tables
-#: are noise-free, so the overhead enters at its mean.
-_MEAN_OVERHEAD_FACTOR = 1.5
-
-
-def nominal_cell(
-    spec: GPUSpec, kernel: KernelSpec, scale: float, op: OperatingPoint
-) -> tuple[float, float]:
-    """Noise-free ``(seconds, energy_j)`` of one (device, class, pair) cell.
-
-    Runs the same physics pipeline as the simulator — cache model,
-    timing, power decomposition, thermal solve — with every stochastic
-    factor removed.  Deterministic in the spec alone, so workers and the
-    parent agree bit-for-bit.
-    """
-    work = kernel.work(scale)
-    cache = simulate_cache(work, spec)
-    timing = simulate_timing(work, cache, spec, op)
-    power = simulate_power(cache, timing, spec, op)
-    dynamic = (
-        power.core_dynamic_w + power.mem_background_w + power.dram_access_w
-    )
-    thermal = solve_thermal(
-        spec, dynamic_w=dynamic, static_w=power.static_w, ambient_c=25.0
-    )
-    overhead_s = spec.traits.driver_overhead_s * _MEAN_OVERHEAD_FACTOR
-    busy_s = timing.t_kernel + timing.t_launch
-    idle_s = timing.t_transfer + timing.t_host + overhead_s
-    energy_j = thermal.power_w * busy_s + idle_gpu_power(spec, op) * idle_s
-    return (busy_s + idle_s, energy_j)
 
 
 def nominal_table(
@@ -68,22 +32,19 @@ def nominal_table(
 ) -> dict[str, Any]:
     """Nominal ``seconds``/``energy_j`` grids of one device.
 
-    Rows follow ``workloads`` order, columns the device's Table III
-    (highest-first) pair order — the axis convention every fleet table
-    shares.
+    The nominal half of :meth:`BatchSimulator.tables`: the simulator's
+    physics with every noise factor removed, deterministic in the spec
+    alone, so workers and the parent agree bit-for-bit.  Rows follow
+    ``workloads`` order, columns the device's Table III (highest-first)
+    pair order — the axis convention every fleet table shares.
     """
-    ops = spec.operating_points()
-    seconds: list[list[float]] = []
-    energy: list[list[float]] = []
-    for name in workloads:
-        kernel = get_benchmark(name)
-        row = [nominal_cell(spec, kernel, scale, op) for op in ops]
-        seconds.append([float(s) for s, _ in row])
-        energy.append([float(e) for _, e in row])
+    tables = BatchSimulator(spec).tables(
+        [get_benchmark(name) for name in workloads], scale
+    )
     return {
-        "pairs": [op.key for op in ops],
-        "seconds": seconds,
-        "energy_j": energy,
+        "pairs": tables["pairs"],
+        "seconds": tables["nominal_seconds"],
+        "energy_j": tables["nominal_energy_j"],
     }
 
 

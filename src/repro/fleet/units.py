@@ -10,9 +10,10 @@ pool-schedulable units rather than 10^5 tiny ones.
 
 Shards synthesize their devices from ``(template, index, seed)``
 coordinates — the unit carries no device specs, only the recipe — and
-run every cell through a :class:`~repro.engine.batch.BatchSimulator`,
-the columnar path that makes a 10^5-cell fleet campaign a seconds-scale
-computation.  Shard payloads are deterministic in the unit spec alone:
+evaluate each device's (class x pair) grid in one columnar pass
+(``BatchSimulator.tables``): the noisy true tables and the noise-free
+nominal tables come from the same physics evaluation, with no per-cell
+run records.  Shard payloads are deterministic in the unit spec alone:
 byte-identical serial, pooled and resumed.
 """
 
@@ -24,7 +25,6 @@ from typing import TYPE_CHECKING, Any
 from repro.arch import registry
 from repro.engine.batch import BatchSimulator
 from repro.execution.units import WorkUnit
-from repro.fleet.model import nominal_table
 from repro.kernels.suites import get_benchmark
 
 if TYPE_CHECKING:  # session imports the engine; keep the cycle static-only
@@ -78,23 +78,10 @@ class FleetShardUnit(WorkUnit):
         devices = []
         for index, spec in self._device_specs():
             # One fresh simulator per device: each device is evaluated
-            # exactly once, so the shared-simulator memo would only thrash.
-            sim = BatchSimulator(spec, seed=self.seed)
-            ops = spec.operating_points()
-            cells = [
-                (kernel, self.scale, op) for kernel in kernels for op in ops
-            ]
-            records = sim.run_grid(cells)
-            true_energy: list[list[float]] = []
-            true_seconds: list[list[float]] = []
-            for k in range(len(kernels)):
-                row = records[k * len(ops) : (k + 1) * len(ops)]
-                true_energy.append([float(r.gpu_energy_j) for r in row])
-                true_seconds.append([float(r.total_seconds) for r in row])
-            idle_power = [
-                float(records[i].gpu_idle_power_w) for i in range(len(ops))
-            ]
-            nominal = nominal_table(spec, self.workloads, self.scale)
+            # exactly once, so a shared memo would only thrash.
+            tables = BatchSimulator(spec, seed=self.seed).tables(
+                kernels, self.scale
+            )
             devices.append(
                 {
                     "index": index,
@@ -103,12 +90,12 @@ class FleetShardUnit(WorkUnit):
                     "template": self.templates[index % len(self.templates)],
                     "reconfigure_seconds": float(spec.reconfigure_seconds),
                     "reconfigure_power_w": float(spec.reconfigure_power_w),
-                    "pairs": [op.key for op in ops],
-                    "idle_power_w": idle_power,
-                    "true_energy_j": true_energy,
-                    "true_seconds": true_seconds,
-                    "nominal_seconds": nominal["seconds"],
-                    "nominal_energy_j": nominal["energy_j"],
+                    "pairs": tables["pairs"],
+                    "idle_power_w": tables["idle_power_w"],
+                    "true_energy_j": tables["true_energy_j"],
+                    "true_seconds": tables["true_seconds"],
+                    "nominal_seconds": tables["nominal_seconds"],
+                    "nominal_energy_j": tables["nominal_energy_j"],
                 }
             )
         return {

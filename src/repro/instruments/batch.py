@@ -80,7 +80,7 @@ class BatchMeasurer:
     def prepare(
         self, cells: "list[tuple[KernelSpec, float, OperatingPoint]]"
     ) -> None:
-        """Vector-seed every stream the given measurement cells draw."""
+        """Evaluate the cells' physics in one pass; vector-seed their meters."""
         self.sim.prepare(cells)
         g = self.gpu.name
         coords: list[tuple] = []

@@ -30,7 +30,7 @@ def stable_hash(*coords: Any) -> int:
     Unlike built-in ``hash``, the result is stable across processes and
     Python versions (``PYTHONHASHSEED`` does not affect it).
     """
-    text = "\x1f".join(repr(c) for c in coords)
+    text = "\x1f".join(map(repr, coords))
     digest = hashlib.sha256(text.encode("utf-8")).digest()
     return int.from_bytes(digest[:8], "little")
 
@@ -188,8 +188,8 @@ class StreamBank:
         self._generator = np.random.Generator(self._bit_generator)
 
     def prepare(self, coords_list: "list[tuple]") -> None:
-        """Seed every missing coordinate tuple in one vectorized pass."""
-        missing = [c for c in coords_list if c not in self._words]
+        """Seed every distinct missing coordinate tuple in one vectorized pass."""
+        missing = [c for c in dict.fromkeys(coords_list) if c not in self._words]
         if not missing:
             return
         hashes = [stable_hash(*c) for c in missing]
@@ -203,8 +203,9 @@ class StreamBank:
         if row is None:
             self.prepare([coords])
             row = self._words[coords]
-        initstate = (int(row[0]) << 64) | int(row[1])
-        initseq = (int(row[2]) << 64) | int(row[3])
+        state_hi, state_lo, seq_hi, seq_lo = row.tolist()
+        initstate = (state_hi << 64) | state_lo
+        initseq = (seq_hi << 64) | seq_lo
         # PCG64.srandom: state=0; inc=(initseq<<1)|1; step; state+=initstate;
         # step — collapsed into one LCG advance of (inc + initstate).
         inc = ((initseq << 1) | 1) & _MASK128

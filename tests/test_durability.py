@@ -477,6 +477,33 @@ def _await_journal(directory, minimum=12, timeout=120.0):
     raise AssertionError(f"campaign never journaled {minimum} units")
 
 
+def _child_pids(pid):
+    """Pids of ``pid``'s live child processes (Linux ``/proc``)."""
+    path = pathlib.Path(f"/proc/{pid}/task/{pid}/children")
+    if not path.exists():
+        pytest.skip("needs /proc/<pid>/task/<pid>/children")
+    return [int(child) for child in path.read_text().split()]
+
+
+def _alive(pid):
+    """Whether ``pid`` runs (an unreaped zombie counts as gone)."""
+    try:
+        stat = pathlib.Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
+def _await_exit(pids, timeout=5.0):
+    """The subset of ``pids`` still running after ``timeout`` seconds."""
+    deadline = time.monotonic() + timeout
+    alive = [pid for pid in pids if _alive(pid)]
+    while alive and time.monotonic() < deadline:
+        time.sleep(0.05)
+        alive = [pid for pid in alive if _alive(pid)]
+    return alive
+
+
 @pytest.fixture(scope="module")
 def reference(tmp_path_factory):
     """One uninterrupted chaos campaign the resumed runs must match."""
@@ -521,6 +548,16 @@ class TestKillAndResume:
         out, err = resumed.communicate(timeout=300)
         assert resumed.returncode == 0, err.decode()
         self._assert_identical(reference, directory)
+
+    def test_sigkill_jobs4_takes_its_pool_workers_down(self, tmp_path):
+        directory = tmp_path / "orphans"
+        proc = _campaign(directory, "--jobs", "4", capture=False)
+        _await_journal(directory)
+        workers = _child_pids(proc.pid)
+        assert len(workers) == 4
+        proc.send_signal(signal.SIGKILL)
+        proc.wait(timeout=120)
+        assert _await_exit(workers) == []
 
     def test_resume_does_not_reexecute_settled_units(self, reference):
         # Resuming a *complete* journal replays every unit: nothing is
